@@ -36,7 +36,14 @@ class Edge:
 class DependencyGraph:
     """Labelled predicate dependency graph of a rulebase."""
 
-    __slots__ = ("_nodes", "_edges", "_successors", "_sccs", "_component_of")
+    __slots__ = (
+        "_nodes",
+        "_edges",
+        "_successors",
+        "_sccs",
+        "_component_of",
+        "_scc_edge_kinds",
+    )
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge]):
         self._nodes: frozenset[str] = frozenset(nodes)
@@ -48,6 +55,7 @@ class DependencyGraph:
         self._successors = successors
         self._sccs: tuple[frozenset[str], ...] | None = None
         self._component_of: dict[str, frozenset[str]] | None = None
+        self._scc_edge_kinds: dict[frozenset[str], frozenset[str]] | None = None
 
     @classmethod
     def from_rulebase(cls, rulebase: Rulebase) -> "DependencyGraph":
@@ -160,13 +168,34 @@ class DependencyGraph:
     # ------------------------------------------------------------------
 
     def internal_edge_kinds(self, component: frozenset[str]) -> frozenset[str]:
-        """The kinds of edges with both endpoints inside ``component``."""
-        kinds = {
+        """The kinds of edges with both endpoints inside ``component``.
+
+        For the graph's own components the answer comes from one pass
+        over the edges that buckets every edge kind by component, so
+        asking it of every component is linear in the graph size.
+        """
+        if self._scc_edge_kinds is None:
+            buckets: dict[frozenset[str], set[str]] = {}
+            owner: dict[str, set[str]] = {}
+            for scc in self.sccs():
+                kinds_of_scc = buckets[scc] = set()
+                for member in scc:
+                    owner[member] = kinds_of_scc
+            for edge in self._edges:
+                bucket = owner.get(edge.source)
+                if bucket is not None and bucket is owner.get(edge.target):
+                    bucket.add(edge.kind)
+            self._scc_edge_kinds = {
+                scc: frozenset(kinds) for scc, kinds in buckets.items()
+            }
+        kinds = self._scc_edge_kinds.get(component)
+        if kinds is not None:
+            return kinds
+        return frozenset(
             edge.kind
             for edge in self._edges
             if edge.source in component and edge.target in component
-        }
-        return frozenset(kinds)
+        )
 
     def has_cycle_through(self, kind: str) -> bool:
         """True iff some mutual-recursion class contains a ``kind`` edge."""

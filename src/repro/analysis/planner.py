@@ -19,6 +19,8 @@ result.  This module holds the ordering policies:
   analysis buys the engines: a bound position divides the expected
   matches by the domain size, so a small relation or a well-adorned
   call is tried first even when a most-bound count would tie.
+* :func:`cached_positive_order` — the cost-aware order memoized in the
+  one join-order cache the goal-directed engines share.
 
 The same primitives drive the static analyzer
 (:mod:`repro.analysis.modes`): the planner fixes the evaluation order
@@ -43,6 +45,8 @@ __all__ = [
     "nonlocal_variables",
     "greedy_positive_order",
     "cost_aware_positive_order",
+    "cached_positive_order",
+    "clear_order_cache",
     "annotate_plan",
     "estimate_matches",
     "idb_aware_sizes",
@@ -259,6 +263,63 @@ def cost_aware_positive_order(
         ordered.append(best)
         bound_vars.update(best.atom.variables())
     return ordered
+
+
+# One join-order cache shared by the goal-directed engines (the PROVE
+# cascade and the tabled top-down search).  A cost-aware order is a pure
+# function of the premises, the bound variables, the domain size and the
+# size the oracle reports for each premise's predicate, so the key holds
+# exactly those and never the database: sibling what-if databases with
+# equal relation sizes share one order, and the cache does not grow with
+# the number of databases an engine visits.  Values keep the keyed
+# premises alive, so an id can never be recycled while its entry exists;
+# the cache is cleared wholesale past a fixed size.
+_ORDER_CACHE_MAX = 512
+_order_cache: dict = {}
+
+
+def cached_positive_order(
+    positives: Sequence[Positive],
+    bound: Iterable[Variable],
+    sizes: Callable[[str], float],
+    domain_size: int,
+    tracer=None,
+    src=None,
+) -> list[Positive]:
+    """:func:`cost_aware_positive_order`, memoized across engines.
+
+    ``sizes`` is a callable oracle such as :func:`idb_aware_sizes`.
+    When ``tracer`` is enabled, a miss emits a ``plan`` event (at
+    ``src``) carrying the :func:`annotate_plan` costs of the order.
+    The returned list is shared; callers must not mutate it.
+    """
+    bound = frozenset(bound)
+    key = (
+        tuple([id(premise) for premise in positives]),
+        bound,
+        domain_size,
+        tuple([sizes(premise.atom.predicate) for premise in positives]),
+    )
+    entry = _order_cache.get(key)
+    if entry is not None:
+        return entry[1]
+    order = cost_aware_positive_order(positives, bound, sizes, domain_size)
+    if len(_order_cache) >= _ORDER_CACHE_MAX:
+        _order_cache.clear()
+    _order_cache[key] = (tuple(positives), order)
+    if tracer is not None and tracer.enabled and order:
+        tracer.event(
+            "plan",
+            " ".join(premise.atom.predicate for premise in order),
+            src=src,
+            args={"order": annotate_plan(order, bound, sizes, domain_size)},
+        )
+    return order
+
+
+def clear_order_cache() -> None:
+    """Drop every cached join order."""
+    _order_cache.clear()
 
 
 # ----------------------------------------------------------------------

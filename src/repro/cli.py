@@ -145,101 +145,88 @@ def _budget_from(options: argparse.Namespace):
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hypodatalog",
-        description="Hypothetical Datalog with negation and linear recursion "
-        "(Bonner, PODS 1989).",
+def _compile_argument(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
+        "--compile",
+        default="auto",
+        choices=("auto", "on", "off"),
+        help="generated join kernels for the bottom-up engine "
+        "(docs/PERFORMANCE.md); answers are identical either way, "
+        "'auto' lets each engine pick",
     )
-    def _compile_argument(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--compile",
-            default="auto",
-            choices=("auto", "on", "off"),
-            help="generated join kernels for the bottom-up engine "
-            "(docs/PERFORMANCE.md); answers are identical either way, "
-            "'auto' lets each engine pick",
-        )
 
-    commands = parser.add_subparsers(dest="command", required=True)
 
-    classify_cmd = commands.add_parser(
-        "classify", help="data-complexity classification (Theorem 1)"
-    )
-    classify_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
+def _rules_argument(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
 
-    stratify_cmd = commands.add_parser(
-        "stratify", help="print the linear stratification (Lemma 1)"
-    )
-    stratify_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
 
-    query_cmd = commands.add_parser("query", help="decide a query")
-    query_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
-    query_cmd.add_argument("premise", help="query text, e.g. 'grad(tony)[add: take(tony, cs452)]'")
-    query_cmd.add_argument("-d", "--db", help="database file")
-    query_cmd.add_argument(
+def _query_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
+    cmd.add_argument("premise", help="query text, e.g. 'grad(tony)[add: take(tony, cs452)]'")
+    cmd.add_argument("-d", "--db", help="database file")
+    cmd.add_argument(
         "-e", "--engine", default="auto", choices=("auto", "prove", "topdown", "model")
     )
-    query_cmd.add_argument(
+    cmd.add_argument(
         "--trace-out",
         metavar="FILE",
         help="also record a Chrome trace_event file of the evaluation",
     )
-    query_cmd.add_argument(
+    cmd.add_argument(
         "--demand",
         default="off",
         choices=("auto", "on", "off"),
         help="goal-directed magic-sets evaluation for the bottom-up "
         "engine (docs/DEMAND.md); the top-down engines ignore it",
     )
-    query_cmd.add_argument(
+    cmd.add_argument(
         "--explain",
         action="store_true",
         help="also print a provenance-backed derivation for a yes, or "
         "a why-not failure witness for a no (docs/OBSERVABILITY.md)",
     )
-    _compile_argument(query_cmd)
-    _budget_arguments(query_cmd)
+    _compile_argument(cmd)
+    _budget_arguments(cmd)
 
-    answers_cmd = commands.add_parser("answers", help="enumerate answers")
-    answers_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
-    answers_cmd.add_argument("pattern", help="atom pattern, e.g. 'grad(S)'")
-    answers_cmd.add_argument("-d", "--db", help="database file")
-    answers_cmd.add_argument(
+
+def _answers_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
+    cmd.add_argument("pattern", help="atom pattern, e.g. 'grad(S)'")
+    cmd.add_argument("-d", "--db", help="database file")
+    cmd.add_argument(
         "-e", "--engine", default="auto", choices=("auto", "prove", "topdown", "model")
     )
-    answers_cmd.add_argument(
+    cmd.add_argument(
         "--trace-out",
         metavar="FILE",
         help="also record a Chrome trace_event file of the evaluation",
     )
-    answers_cmd.add_argument(
+    cmd.add_argument(
         "--demand",
         default="off",
         choices=("auto", "on", "off"),
         help="goal-directed magic-sets evaluation for the bottom-up "
         "engine (docs/DEMAND.md); the top-down engines ignore it",
     )
-    _compile_argument(answers_cmd)
-    _budget_arguments(answers_cmd)
+    _compile_argument(cmd)
+    _budget_arguments(cmd)
 
-    model_cmd = commands.add_parser("model", help="print the perfect model")
-    model_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
-    model_cmd.add_argument("-d", "--db", help="database file")
-    model_cmd.add_argument(
+
+def _model_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
+    cmd.add_argument("-d", "--db", help="database file")
+    cmd.add_argument(
         "--trace-out",
         metavar="FILE",
         help="also record a Chrome trace_event file of the evaluation",
     )
-    _compile_argument(model_cmd)
-    _budget_arguments(model_cmd)
+    _compile_argument(cmd)
+    _budget_arguments(cmd)
 
-    profile_cmd = commands.add_parser(
-        "profile",
-        help="run one query with tracing on; print spans and metrics",
-    )
-    profile_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
-    profile_cmd.add_argument(
+
+def _profile_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
+    cmd.add_argument(
         "-q",
         "--query",
         required=True,
@@ -247,72 +234,69 @@ def _build_parser() -> argparse.ArgumentParser:
         help="query text, e.g. 'grad(S)' or "
         "'grad(tony)[add: take(tony, cs452)]'",
     )
-    profile_cmd.add_argument("-d", "--db", help="database file")
-    profile_cmd.add_argument(
+    cmd.add_argument("-d", "--db", help="database file")
+    cmd.add_argument(
         "-e", "--engine", default="auto", choices=("auto", "prove", "topdown", "model")
     )
-    profile_cmd.add_argument(
+    cmd.add_argument(
         "--trace-out",
         metavar="FILE",
         help="write a Chrome trace_event JSON file "
         "(open in chrome://tracing or Perfetto)",
     )
-    profile_cmd.add_argument(
+    cmd.add_argument(
         "--jsonl-out",
         metavar="FILE",
         help="write the trace as JSON-lines (one span/event per line)",
     )
-    profile_cmd.add_argument(
+    cmd.add_argument(
         "--max-depth",
         type=int,
         default=None,
         metavar="N",
         help="clip the printed span tree at depth N (exports are full)",
     )
-    profile_cmd.add_argument(
+    cmd.add_argument(
         "--no-timings",
         action="store_true",
         help="omit durations from the printed tree (stable output)",
     )
-    _budget_arguments(profile_cmd)
+    _budget_arguments(cmd)
 
-    lint_cmd = commands.add_parser(
-        "lint", help="static hygiene warnings for a rulebase"
-    )
-    lint_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
-    lint_cmd.add_argument(
+
+def _lint_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
+    cmd.add_argument(
         "--format",
         default="text",
         choices=("text", "json", "sarif"),
         help="output format (default: text)",
     )
-    lint_cmd.add_argument(
+    cmd.add_argument(
         "-v",
         "--verbose",
         action="store_true",
         help="include the offending rule text in text output",
     )
 
-    check_cmd = commands.add_parser(
-        "check",
-        help="full diagnostics: spans, binding modes, cost estimates",
-    )
-    check_cmd.add_argument(
+
+def _check_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
         "rules", nargs="+", help="rulebase file(s) ('-' for stdin)"
     )
-    check_cmd.add_argument(
+    cmd.add_argument(
         "--format",
         default="text",
         choices=("text", "json", "sarif"),
         help="output format (default: text)",
     )
-    check_cmd.add_argument(
+    cmd.add_argument(
         "-v",
         "--verbose",
         action="store_true",
         help="include rule text and fix hints in text output",
     )
-    check_cmd.add_argument(
+    cmd.add_argument(
         "--severity",
         action="append",
         default=[],
@@ -320,20 +304,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a code's severity (repeatable), "
         "e.g. --severity cost-blowup=error",
     )
-    check_cmd.add_argument(
+    cmd.add_argument(
         "--disable",
         action="append",
         default=[],
         metavar="CODE",
         help="suppress a diagnostic code (repeatable)",
     )
-    check_cmd.add_argument(
+    cmd.add_argument(
         "--fail-on",
         default="error",
         choices=("none", "info", "warning", "error"),
         help="mildest severity that fails the run (default: error)",
     )
-    check_cmd.add_argument(
+    cmd.add_argument(
         "-q",
         "--query",
         action="append",
@@ -343,14 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "(repeatable); defaults to all output predicates, all-free",
     )
 
-    explain_cmd = commands.add_parser(
-        "explain",
-        help="explain a query: derivation, why-not witness, assumptions",
-    )
-    explain_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
-    explain_cmd.add_argument("premise", help="query text")
-    explain_cmd.add_argument("-d", "--db", help="database file")
-    explain_mode = explain_cmd.add_mutually_exclusive_group()
+
+def _explain_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
+    cmd.add_argument("premise", help="query text")
+    cmd.add_argument("-d", "--db", help="database file")
+    explain_mode = cmd.add_mutually_exclusive_group()
     explain_mode.add_argument(
         "--why",
         action="store_true",
@@ -388,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "defining the query's predicate (docs/PERFORMANCE.md); exit 1 "
         "when no rule compiles",
     )
-    explain_cmd.add_argument(
+    cmd.add_argument(
         "--demand",
         default="off",
         choices=("auto", "on", "off"),
@@ -396,38 +378,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "--why/--assumptions, consistent with 'query' "
         "(docs/DEMAND.md)",
     )
-    _budget_arguments(explain_cmd)
+    _budget_arguments(cmd)
 
-    graph_cmd = commands.add_parser(
-        "graph", help="emit the predicate dependency graph as Graphviz DOT"
-    )
-    graph_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
 
-    repl_cmd = commands.add_parser("repl", help="interactive console")
-    repl_cmd.add_argument("rules", nargs="?", help="rulebase file to preload")
-    repl_cmd.add_argument("-d", "--db", help="database file to preload")
+def _repl_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("rules", nargs="?", help="rulebase file to preload")
+    cmd.add_argument("-d", "--db", help="database file to preload")
 
-    serve_cmd = commands.add_parser(
-        "serve",
-        help="serve hypothetical queries over the JSON-lines protocol "
-        "(docs/SERVER.md)",
-    )
-    serve_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
-    serve_cmd.add_argument("-d", "--db", help="base database file (shared, read-only)")
-    serve_cmd.add_argument("--host", default="127.0.0.1")
-    serve_cmd.add_argument(
+
+def _serve_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
+    cmd.add_argument("-d", "--db", help="base database file (shared, read-only)")
+    cmd.add_argument("--host", default="127.0.0.1")
+    cmd.add_argument(
         "--port", type=int, default=7878, help="0 picks an ephemeral port"
     )
-    serve_cmd.add_argument(
+    cmd.add_argument(
         "-e", "--engine", default="auto", choices=("auto", "prove", "topdown", "model"),
         help="default engine for sessions that don't choose one",
     )
-    serve_cmd.add_argument(
+    cmd.add_argument(
         "--demand", default="off", choices=("auto", "on", "off"),
         help="default demand mode for sessions (docs/DEMAND.md)",
     )
-    _compile_argument(serve_cmd)
-    robustness = serve_cmd.add_argument_group(
+    _compile_argument(cmd)
+    robustness = cmd.add_argument_group(
         "robustness limits (docs/SERVER.md)"
     )
     robustness.add_argument(
@@ -454,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--drain-timeout", type=float, default=5.0, metavar="SECONDS",
         help="grace period for in-flight requests on shutdown",
     )
-    ceilings = serve_cmd.add_argument_group(
+    ceilings = cmd.add_argument_group(
         "per-request budget ceilings (clients may tighten, never loosen; "
         "exceeded budgets return code 'exhausted' with partial results)"
     )
@@ -475,6 +450,65 @@ def _build_parser() -> argparse.ArgumentParser:
         help="proof-depth ceiling per request (0 = unlimited)",
     )
 
+
+#: Subcommand -> (help line, function adding its arguments), in the
+#: order ``--help`` lists them.
+_COMMANDS = {
+    "classify": (
+        "data-complexity classification (Theorem 1)",
+        _rules_argument,
+    ),
+    "stratify": (
+        "print the linear stratification (Lemma 1)",
+        _rules_argument,
+    ),
+    "query": ("decide a query", _query_arguments),
+    "answers": ("enumerate answers", _answers_arguments),
+    "model": ("print the perfect model", _model_arguments),
+    "profile": (
+        "run one query with tracing on; print spans and metrics",
+        _profile_arguments,
+    ),
+    "lint": ("static hygiene warnings for a rulebase", _lint_arguments),
+    "check": (
+        "full diagnostics: spans, binding modes, cost estimates",
+        _check_arguments,
+    ),
+    "explain": (
+        "explain a query: derivation, why-not witness, assumptions",
+        _explain_arguments,
+    ),
+    "graph": (
+        "emit the predicate dependency graph as Graphviz DOT",
+        _rules_argument,
+    ),
+    "repl": ("interactive console", _repl_arguments),
+    "serve": (
+        "serve hypothetical queries over the JSON-lines protocol "
+        "(docs/SERVER.md)",
+        _serve_arguments,
+    ),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser; only ``command``'s arguments are added.
+
+    Every subcommand is registered (so ``--help`` lists them all and
+    unknown names are rejected as before), but argument definitions
+    cost time on every call, so only the invoked subcommand gets them.
+    ``command=None`` builds every subcommand's arguments.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hypodatalog",
+        description="Hypothetical Datalog with negation and linear recursion "
+        "(Bonner, PODS 1989).",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        cmd = commands.add_parser(name, help=help_text)
+        if command is None or name == command:
+            add_arguments(cmd)
     return parser
 
 
@@ -486,7 +520,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     budget exhausted 5) and are rendered through the diagnostics
     formatter rather than as raw tracebacks.
     """
-    options = _build_parser().parse_args(argv)
+    args = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no option with a value, so the first
+    # non-option word names the subcommand.
+    command = next((arg for arg in args if not arg.startswith("-")), "")
+    options = _build_parser(command).parse_args(args)
     try:
         return _dispatch(options)
     except ResourceExhausted as error:

@@ -107,7 +107,9 @@ class Hypothetical:
     ``R, DB |- A[add: B][del: C]`` iff ``R, (DB - {C}) + {B} |- A`` —
     deletions are applied first, so an atom named in both is present
     afterwards.  Deletion-carrying rulebases are evaluated by the
-    top-down engine only (see :mod:`repro.engine.topdown`).
+    top-down engine (:mod:`repro.engine.topdown`) and the bottom-up
+    model engine (:mod:`repro.engine.model`); the PROVE cascade covers
+    the add-only language.
     """
 
     atom: Atom

@@ -14,7 +14,7 @@ The concrete syntax follows the paper as closely as ASCII allows::
 * ``~A`` (or ``not A``) is negation-by-failure.
 * ``A [add: B1, ..., Bm]`` is a hypothetical premise; an optional
   ``[del: C1, ..., Cj]`` group adds hypothetical deletions (the [4]
-  extension; evaluated by the top-down engine only).
+  extension; evaluated by the top-down and model engines).
 * Facts are rules with no body: ``take(tony, cs250).``
 * Comments run from ``%`` or ``#`` to the end of the line.
 

@@ -85,6 +85,7 @@ DeltaHypotheticalExpander = Callable[
     [Hypothetical, Substitution, Interpretation], Iterator[Substitution]
 ]
 NegatedTest = Callable[[Atom, Substitution], bool]
+PositiveExpander = Callable[[Atom, Substitution], Iterator[Substitution]]
 
 
 class LayerInstruments:
@@ -247,6 +248,7 @@ def close_layer(
     interp: Interpretation,
     domain: Sequence[Constant],
     *,
+    positive: Optional[PositiveExpander] = None,
     hypothetical: Optional[HypotheticalExpander] = None,
     hypothetical_delta: Optional[DeltaHypotheticalExpander] = None,
     negated: Optional[NegatedTest] = None,
@@ -264,11 +266,14 @@ def close_layer(
     """Close one stratum's rules over ``interp``; return the new atoms.
 
     ``interp`` is grown in place; the returned interpretation holds
-    exactly the atoms this closure added.  ``negated`` defaults to
-    negation-as-failure against ``interp``; ``hypothetical`` defaults
-    to rejecting hypothetical premises.  See the module docstring for
-    the delta discipline and the meaning of ``seed_delta`` /
-    ``refire_full``.
+    exactly the atoms this closure added.  ``positive`` defaults to
+    matching against ``interp``; a caller whose lower predicates live
+    elsewhere (the PROVE cascade) routes them itself, but must read the
+    closed rules' own predicates from ``interp``, where the closure
+    adds them.  ``negated`` defaults to negation-as-failure against
+    ``interp``; ``hypothetical`` defaults to rejecting hypothetical
+    premises.  See the module docstring for the delta discipline and
+    the meaning of ``seed_delta`` / ``refire_full``.
 
     ``budget`` (a :class:`~repro.engine.budget.Budget`) is charged one
     step per rule firing (site ``delta.firings``) and one atom per
@@ -305,9 +310,8 @@ def close_layer(
             return not interp.has_match(pattern, current)
     if hypothetical is None:
         hypothetical = _reject_hypothetical
-
-    def positive(pattern: Atom, current: Substitution) -> Iterator[Substitution]:
-        return interp.matches(pattern, current)
+    if positive is None:
+        positive = interp.matches
 
     n_rounds = n_firings = n_derived = h_delta = None
     if instruments is not None:

@@ -46,18 +46,18 @@ from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError, ResourceExhausted
 from ..core.parser import parse_premise
-from ..core.terms import Atom, Constant, Variable
+from ..core.terms import Atom, Constant
 from ..core.unify import Substitution, ground_instances, match
-from ..analysis.planner import annotate_plan, idb_aware_sizes
+from ..analysis.planner import (
+    cached_positive_order,
+    clear_order_cache,
+    idb_aware_sizes,
+)
 from ..obs.metrics import MetricsRegistry, StatsView
 from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
-from .body import (
-    cost_aware_positive_order,
-    join_mode,
-    nonlocal_variables,
-    satisfy_body,
-)
+from .body import join_mode, nonlocal_variables, satisfy_body
 from .budget import NULL_BUDGET, cancelled_error, depth_error
+from .delta import LayerInstruments, close_layer
 from .interpretation import Interpretation
 
 __all__ = ["LinearStratifiedProver", "ProverStats"]
@@ -145,7 +145,7 @@ class LinearStratifiedProver:
         self._path: set[tuple[Atom, Database]] = set()
         self._cycle_events = 0
         self._delta_in_progress: set[tuple[int, Database]] = set()
-        self._plan_cache: dict[Database, object] = {}
+        self._guards = {id(item): nonlocal_variables(item) for item in rulebase}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._budget = budget if budget is not None else NULL_BUDGET
@@ -156,11 +156,13 @@ class LinearStratifiedProver:
         self._n_delta_models = counter("prove.delta_models")
         self._n_delta_cache_hits = counter("prove.delta_cache_hits")
         self._n_cycles_cut = counter("prove.cycles_cut")
-        self._n_plan_hits = counter("prove.plan_cache_hits")
-        self._n_plan_misses = counter("prove.plan_cache_misses")
         self._n_negation = counter("prove.negation_tests")
         self._n_hypo = counter("prove.hypothesis_expansions")
         self._g_max_depth = self.metrics.gauge("prove.max_depth")
+        self._delta_instruments = LayerInstruments(
+            rounds=counter("prove.delta_rounds"),
+            firings=counter("prove.delta_firings"),
+        )
 
     @property
     def rulebase(self) -> Rulebase:
@@ -220,7 +222,7 @@ class LinearStratifiedProver:
         self._sigma_true.clear()
         self._sigma_false.clear()
         self._delta_cache.clear()
-        self._plan_cache.clear()
+        clear_order_cache()
 
     @contextmanager
     def _governed(self, budget, partial_answers: Optional[set] = None):
@@ -285,36 +287,21 @@ class LinearStratifiedProver:
         """Cost-aware positive-premise planner for the current database.
 
         IDB predicates are penalized with a domain**arity size so the
-        planner prefers stored relations when selectivity ties.  Plans
-        are cached per database: the prover revisits the same enlarged
-        databases many times during a search.
+        planner prefers stored relations when selectivity ties.  Orders
+        come from the join-order cache shared by every goal-directed
+        engine (:func:`~repro.analysis.planner.cached_positive_order`).
         """
         if self._join_mode != "cost":
             return None
-        plan = self._plan_cache.get(db)
-        if plan is not None:
-            self._n_plan_hits.value += 1
-            return plan
-        self._n_plan_misses.value += 1
-        sizes = idb_aware_sizes(self._rulebase, db.count, len(domain))
         domain_size = len(domain)
+        sizes = idb_aware_sizes(self._rulebase, db.count, domain_size)
         trace = self._tracer
 
         def plan(positives, bound):
-            order = cost_aware_positive_order(
-                positives, bound, sizes, domain_size
+            return cached_positive_order(
+                positives, bound, sizes, domain_size, trace
             )
-            if trace.enabled and order:
-                trace.event(
-                    "plan",
-                    " ".join(p.atom.predicate for p in order),
-                    args={
-                        "order": annotate_plan(order, bound, sizes, domain_size)
-                    },
-                )
-            return order
 
-        self._plan_cache[db] = plan
         return plan
 
     def _exists(self, premise: Premise, db: Database, domain) -> bool:
@@ -368,6 +355,11 @@ class LinearStratifiedProver:
             self._cycle_events += 1
             self._n_cycles_cut.value += 1
             return False
+        domain = self.domain(db)
+        if not set(goal.constants()).issubset(domain):
+            # Definition 3 grounds rules over dom(R, DB): a goal naming
+            # another constant can only hold as a stored fact.
+            return False
 
         self._n_sigma_goals.value += 1
         budget = self._budget
@@ -378,7 +370,6 @@ class LinearStratifiedProver:
         if budget.enabled:
             budget.check_depth("prove.sigma_goals", len(self._path))
         cycles_before = self._cycle_events
-        domain = self.domain(db)
         proven = False
         trace = self._tracer
         goal_ctx = (
@@ -427,7 +418,7 @@ class LinearStratifiedProver:
         return satisfy_body(
             item.body,
             binding=binding,
-            ground_first=nonlocal_variables(item),
+            ground_first=self._guards[id(item)],
             domain=domain,
             optimize=self._join_mode == "greedy",
             plan=self._cost_plan(db, domain),
@@ -547,8 +538,14 @@ class LinearStratifiedProver:
     def _delta_model(self, stratum: int, db: Database) -> Interpretation:
         """Perfect model of Delta_stratum at ``db`` (plus the db facts).
 
-        Premises over predicates defined below the segment are decided
-        through the cascade — the paper's TEST0 oracle calls.
+        Each negation layer is closed semi-naively by
+        :func:`~repro.engine.delta.close_layer`.  Premises over
+        predicates defined below the segment are decided through the
+        cascade — the paper's TEST0 oracle calls.  By Definition 6 a
+        hypothetical premise of a Delta rule names a goal strictly below
+        the segment, so its truth cannot change while the segment
+        closes: the restricted expander yields nothing, and such rules
+        re-fire only when one of their positive premises grows.
         """
         key = (stratum, db)
         cached = self._delta_cache.get(key)
@@ -565,15 +562,13 @@ class LinearStratifiedProver:
         if self._budget.enabled:
             self._budget.charge("prove.delta_models")
         domain = self.domain(db)
-        segment = 2 * stratum - 1
-        own = self._strat.predicates_in_segment(segment)
+        own = self._strat.predicates_in_segment(2 * stratum - 1)
         interp = Interpretation(db)
 
         def positive(pattern: Atom, current: Substitution) -> Iterator[Substitution]:
             if pattern.predicate in own:
-                yield from interp.matches(pattern, current)
-            else:
-                yield from self._match_atom(pattern, current, db, domain)
+                return interp.matches(pattern, current)
+            return self._match_atom(pattern, current, db, domain)
 
         def negated(pattern: Atom, current: Substitution) -> bool:
             if pattern.predicate in own:
@@ -586,83 +581,42 @@ class LinearStratifiedProver:
             return self._expand_hypothetical(premise, current, db, domain)
 
         trace = self._tracer
+        plan = self._cost_plan(db, domain)
         delta_ctx = (
-            trace.span(
-                "delta", f"Delta_{stratum}", args={"db": len(db)}
-            )
+            trace.span("delta", f"Delta_{stratum}", args={"db": len(db)})
             if trace.enabled
             else NULL_SPAN
         )
         with delta_ctx:
-            self._close_delta_layers(
-                stratum, interp, db, domain, positive, negated, hypothetical
-            )
+            for index, group in enumerate(self._delta_layers[stratum]):
+                layer_ctx = (
+                    trace.span("stratum", str(index), args={"rules": len(group)})
+                    if trace.enabled
+                    else NULL_SPAN
+                )
+                with layer_ctx:
+                    close_layer(
+                        group,
+                        interp,
+                        domain,
+                        positive=positive,
+                        hypothetical=hypothetical,
+                        hypothetical_delta=_stable_hypothetical,
+                        negated=negated,
+                        optimize=self._join_mode == "greedy",
+                        plan=plan,
+                        instruments=self._delta_instruments,
+                        tracer=trace,
+                        budget=self._budget,
+                    )
         self._delta_in_progress.discard(key)
         if self._memoize:
             self._delta_cache[key] = interp
         return interp
 
-    def _close_delta_layers(
-        self, stratum, interp, db, domain, positive, negated, hypothetical
-    ) -> None:
-        """Fixpoint of each negation layer of ``Delta_stratum``."""
-        trace = self._tracer
-        for layer_index, group in enumerate(self._delta_layers.get(stratum, [])):
-            layer_ctx = (
-                trace.span(
-                    "stratum", str(layer_index), args={"rules": len(group)}
-                )
-                if trace.enabled
-                else NULL_SPAN
-            )
-            with layer_ctx:
-                self._close_delta_group(
-                    group, interp, db, domain, positive, negated, hypothetical
-                )
 
-    def _close_delta_group(
-        self, group, interp, db, domain, positive, negated, hypothetical
-    ) -> None:
-        """Fixpoint of one negation layer's rules (plus TEST0 oracles)."""
-        trace = self._tracer
-        budget = self._budget
-        governed = budget.enabled
-        changed = True
-        while changed:
-            changed = False
-            pending: list[Atom] = []
-            for item in group:
-                rule_ctx = (
-                    trace.span("rule", item.head.predicate, src=item.span)
-                    if trace.enabled
-                    else NULL_SPAN
-                )
-                with rule_ctx:
-                    head_variables = set(item.head.variables())
-                    for current in satisfy_body(
-                        item.body,
-                        positive=positive,
-                        hypothetical=hypothetical,
-                        negated=negated,
-                        ground_first=nonlocal_variables(item),
-                        domain=domain,
-                        optimize=self._join_mode == "greedy",
-                        plan=self._cost_plan(db, domain),
-                    ):
-                        if governed:
-                            budget.charge("prove.delta_firings")
-                        unbound = [
-                            var for var in head_variables if var not in current
-                        ]
-                        if unbound:
-                            for grounded in ground_instances(
-                                unbound, domain, current
-                            ):
-                                pending.append(item.head.substitute(grounded))
-                        else:
-                            pending.append(item.head.substitute(current))
-            for head in pending:
-                if interp.add(head):
-                    if governed:
-                        budget.charge_atoms("prove.delta_atoms")
-                    changed = True
+def _stable_hypothetical(
+    premise: Hypothetical, binding: Substitution, delta: Interpretation
+) -> Iterator[Substitution]:
+    """A Delta rule's hypothetical premises never read the delta."""
+    return iter(())

@@ -28,10 +28,10 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..analysis.classify import ComplexityReport, classify
-from ..analysis.stratify import is_linearly_stratified
+from ..analysis.stratify import linear_stratification
 from ..core.ast import Positive, Premise, Rulebase
 from ..core.database import Database
-from ..core.errors import EvaluationError
+from ..core.errors import EvaluationError, StratificationError
 from ..core.parser import parse_premise
 from ..core.terms import Atom
 from ..obs.metrics import MetricsRegistry
@@ -183,11 +183,20 @@ class Session:
         self._demand = demand
         self._compile = compile_mode(compile)
         self._prov_engine: Optional[PerfectModelEngine] = None
+        stratification = None
         if engine == "auto":
-            engine = "prove" if is_linearly_stratified(rulebase) else "topdown"
+            try:
+                stratification = linear_stratification(rulebase)
+                engine = "prove"
+            except StratificationError:
+                engine = "topdown"
         if engine == "prove":
             self._engine: Engine = LinearStratifiedProver(
-                rulebase, metrics=metrics, tracer=tracer, budget=budget
+                rulebase,
+                stratification,
+                metrics=metrics,
+                tracer=tracer,
+                budget=budget,
             )
         elif engine == "topdown":
             self._engine = TopDownEngine(

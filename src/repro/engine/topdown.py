@@ -39,11 +39,14 @@ from ..core.errors import EvaluationError, ResourceExhausted
 from ..core.parser import parse_premise
 from ..core.terms import Atom, Constant, Variable
 from ..core.unify import Substitution, ground_instances, match
-from ..analysis.planner import annotate_plan, idb_aware_sizes
+from ..analysis.planner import (
+    cached_positive_order,
+    clear_order_cache,
+    idb_aware_sizes,
+)
 from ..obs.metrics import MetricsRegistry, StatsView
 from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
 from .body import (
-    cost_aware_positive_order,
     greedy_positive_order,
     join_mode,
     nonlocal_variables,
@@ -94,8 +97,7 @@ class TopDownEngine:
         self._path: set[tuple[Atom, Database]] = set()
         self._cycle_events = 0
         self._domain_set: frozenset[Constant] = frozenset()
-        self._size_oracles: dict[Database, object] = {}
-        self._order_cache: dict[tuple, list[Premise]] = {}
+        self._guards = {id(item): nonlocal_variables(item) for item in rulebase}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._budget = budget if budget is not None else NULL_BUDGET
@@ -104,8 +106,6 @@ class TopDownEngine:
         self._n_goals = counter("topdown.goals")
         self._n_cache_hits = counter("topdown.cache_hits")
         self._n_cycles_cut = counter("topdown.cycles_cut")
-        self._n_plan_hits = counter("topdown.plan_cache_hits")
-        self._n_plan_misses = counter("topdown.plan_cache_misses")
         self._n_negation = counter("topdown.negation_tests")
         self._n_hypo = counter("topdown.hypothesis_expansions")
         self._g_max_depth = self.metrics.gauge("topdown.max_depth")
@@ -160,8 +160,7 @@ class TopDownEngine:
     def clear_caches(self) -> None:
         self._true.clear()
         self._false.clear()
-        self._size_oracles.clear()
-        self._order_cache.clear()
+        clear_order_cache()
 
     @contextmanager
     def _governed(self, budget, partial_answers: Optional[set] = None):
@@ -295,7 +294,7 @@ class TopDownEngine:
                 if binding is None:
                     continue
                 body = self._plan_body(item, binding, db, domain)
-                guard = nonlocal_variables(item)
+                guard = self._guards[id(item)]
                 rule_ctx = (
                     trace.span("rule", item.head.predicate, src=item.span)
                     if trace.enabled
@@ -320,9 +319,9 @@ class TopDownEngine:
     ) -> list[Premise]:
         """The body in evaluation order under the active join policy.
 
-        Cost plans are memoized per (rule, bound variables, database):
-        the search decides the same goal shape at the same database
-        many times, and the plan depends on nothing else.
+        Cost plans come from the join-order cache shared by every
+        goal-directed engine
+        (:func:`~repro.analysis.planner.cached_positive_order`).
         """
         body = ordered_premises(item.body)
         if self._join_mode == "textual":
@@ -331,34 +330,16 @@ class TopDownEngine:
         rest = [p for p in body if not isinstance(p, Positive)]
         if self._join_mode != "cost":
             return list(greedy_positive_order(positives, binding.keys())) + rest
-        key = (id(item), frozenset(binding.keys()), db)
-        cached = self._order_cache.get(key)
-        if cached is not None:
-            self._n_plan_hits.value += 1
-            return cached
-        self._n_plan_misses.value += 1
-        sizes = self._size_oracles.get(db)
-        if sizes is None:
-            sizes = idb_aware_sizes(self._rulebase, db.count, len(domain))
-            self._size_oracles[db] = sizes
-        order = cost_aware_positive_order(
-            positives, binding.keys(), sizes, len(domain)
+        domain_size = len(domain)
+        order = cached_positive_order(
+            positives,
+            binding.keys(),
+            idb_aware_sizes(self._rulebase, db.count, domain_size),
+            domain_size,
+            self._tracer,
+            item.span,
         )
-        trace = self._tracer
-        if trace.enabled and order:
-            trace.event(
-                "plan",
-                " ".join(p.atom.predicate for p in order),
-                src=item.span,
-                args={
-                    "order": annotate_plan(
-                        order, binding.keys(), sizes, len(domain)
-                    )
-                },
-            )
-        planned = list(order) + rest
-        self._order_cache[key] = planned
-        return planned
+        return order + rest
 
     def _satisfy(
         self,

@@ -68,8 +68,6 @@ KNOWN_SITES: frozenset[str] = NETWORK_SITES | frozenset(
         # the paper's PROVE cascade (repro.engine.prove)
         "prove.sigma_goals",
         "prove.delta_models",
-        "prove.delta_firings",
-        "prove.delta_atoms",
         "prove.exists",
         # tabled top-down search (repro.engine.topdown)
         "topdown.goals",
@@ -79,7 +77,8 @@ KNOWN_SITES: frozenset[str] = NETWORK_SITES | frozenset(
         "model.exists",
         "model.invariant",
         # shared differential stratum closure (repro.engine.delta),
-        # reached from model/stratified/datalog evaluation
+        # reached from model/stratified/datalog evaluation and from the
+        # PROVE cascade's Delta models
         "delta.round",
         "delta.firings",
         "delta.derived",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _COMMANDS, _build_parser, main
 
 HAMILTONIAN = """
 yes :- node(X), path(X)[add: pnode(X)].
@@ -29,6 +29,34 @@ def db_file(tmp_path):
     path = tmp_path / "graph.dl"
     path.write_text(GRAPH)
     return str(path)
+
+
+class TestHelp:
+    """Each call builds only the invoked subcommand's arguments; the
+    help it prints must match a parser built with every argument."""
+
+    @staticmethod
+    def _help(run, capsys):
+        with pytest.raises(SystemExit) as stop:
+            run()
+        assert stop.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [None, *_COMMANDS])
+    def test_help_matches_full_parser(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        argv = ["--help"] if command is None else [command, "--help"]
+        lazy = self._help(lambda: main(argv), capsys)
+        full = self._help(lambda: _build_parser().parse_args(argv), capsys)
+        assert lazy == full
+        assert lazy.startswith("usage: hypodatalog")
+
+    def test_top_level_help_lists_every_subcommand(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        out = self._help(lambda: main(["--help"]), capsys)
+        for name, (help_text, _) in _COMMANDS.items():
+            assert name in out
+            assert help_text.split()[0] in out
 
 
 class TestClassify:

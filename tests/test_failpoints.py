@@ -67,12 +67,13 @@ def _stratified(budget):
     return perfect_model(parse_program(TC), db, budget=budget)
 
 
-#: site -> a workload that reaches it while a budget is active.
+#: case -> a workload that reaches its site while a budget is active.
+#: A case is a site name, optionally suffixed ``@prove`` when the
+#: shared closure's site is reached through the PROVE cascade's Delta
+#: models rather than through stratified evaluation.
 WORKLOADS = {
     "prove.sigma_goals": _prove,
     "prove.delta_models": _prove,
-    "prove.delta_firings": _prove,
-    "prove.delta_atoms": _prove,
     "prove.exists": _prove,
     "topdown.goals": _topdown,
     "topdown.exists": _topdown_exists,
@@ -81,20 +82,26 @@ WORKLOADS = {
     "delta.round": _stratified,
     "delta.firings": _stratified,
     "delta.derived": _stratified,
+    "delta.round@prove": _prove,
+    "delta.firings@prove": _prove,
+    "delta.derived@prove": _prove,
     "stratified.stratum": _stratified,
 }
+
+
+def _site(case):
+    return case.split("@")[0]
+
 
 # The network-layer sites are reached per connection/frame, not per
 # budget charge; their fault-injection matrix lives in
 # tests/test_server.py against a live server.
-MATRIX_SITES = sorted(
-    failpoints.KNOWN_SITES - failpoints.NETWORK_SITES - {"model.invariant"}
-)
+MATRIX_CASES = sorted(WORKLOADS)
 
 
 def test_workload_map_covers_registry():
     assert (
-        set(WORKLOADS)
+        {_site(case) for case in WORKLOADS}
         == failpoints.KNOWN_SITES - failpoints.NETWORK_SITES - {"model.invariant"}
     )
 
@@ -108,9 +115,10 @@ def test_network_sites_registered():
     assert not failpoints.enabled
 
 
-@pytest.mark.parametrize("site", MATRIX_SITES)
-def test_injected_exhaustion_surfaces_cleanly(site):
-    workload = WORKLOADS[site]
+@pytest.mark.parametrize("case", MATRIX_CASES)
+def test_injected_exhaustion_surfaces_cleanly(case):
+    workload = WORKLOADS[case]
+    site = _site(case)
     with failpoints.armed(site, reason="injected") as handle:
         with pytest.raises(ResourceExhausted) as exc:
             workload(Budget())
@@ -119,10 +127,11 @@ def test_injected_exhaustion_surfaces_cleanly(site):
     assert exc.value.reason == "injected"
 
 
-@pytest.mark.parametrize("site", MATRIX_SITES)
-def test_recovery_after_injection(site):
+@pytest.mark.parametrize("case", MATRIX_CASES)
+def test_recovery_after_injection(case):
     # Same engine object: trip it, then ask again without the fault.
-    if site.startswith("prove."):
+    site = _site(case)
+    if WORKLOADS[case] is _prove:
         engine = LinearStratifiedProver(hamiltonian_rulebase())
         run = lambda b: engine.ask(_ham_db(), "yes", budget=b)
     elif site.startswith("topdown."):
@@ -141,12 +150,12 @@ def test_recovery_after_injection(site):
     assert run(Budget()) is not False  # True for asks, a model otherwise
 
 
-@pytest.mark.parametrize("site", MATRIX_SITES)
-def test_failpoints_inert_without_budget(site):
+@pytest.mark.parametrize("case", MATRIX_CASES)
+def test_failpoints_inert_without_budget(case):
     # No budget configured -> the guards are skipped entirely, so an
     # armed failpoint must not fire (production hot paths stay cold).
-    with failpoints.armed(site) as handle:
-        WORKLOADS[site](None)
+    with failpoints.armed(_site(case)) as handle:
+        WORKLOADS[case](None)
     assert handle.hits == 0
 
 

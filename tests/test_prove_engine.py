@@ -75,6 +75,16 @@ class TestInferenceRules:
         prover = LinearStratifiedProver(rb)
         assert prover.answers(db, "select(Y)") == {("a",), ("b",)}
 
+    def test_sigma_goal_outside_domain_is_refuted(self):
+        # Definition 3 grounds q2's head over dom(R, DB) = {a}, so no
+        # instance names b, although the body holds for every binding.
+        rb = parse_program("p0. q2(a, X) :- p0[add: p0].")
+        prover = LinearStratifiedProver(rb)
+        assert not prover.ask(Database(), "q2(a, b)")
+        assert prover.ask(Database(), "q2(a, a)")
+        assert prover.ask(Database([atom("r", "b")]), "q2(a, b)")
+        assert not PerfectModelEngine(rb).ask(Database(), "q2(a, b)")
+
 
 class TestAgreementWithReferenceEngine:
     @pytest.mark.parametrize("n", range(5))
@@ -110,6 +120,59 @@ class TestAgreementWithReferenceEngine:
         db_no = graph_db(["a", "b"], [])
         assert prover.ask(db_yes, "yes") and not prover.ask(db_yes, "no")
         assert prover.ask(db_no, "no") and not prover.ask(db_no, "yes")
+
+
+class TestDeltaClosure:
+    """PROVE_Delta closes each negation layer semi-naively."""
+
+    REACH = """
+        reach(X, Y) :- edge(X, Y).
+        reach(X, Y) :- edge(X, Z), reach(Z, Y).
+    """
+
+    def test_recursive_layer_fires_fewer_rules_than_naive(self):
+        from repro.engine.delta import LayerInstruments, close_layer
+        from repro.engine.interpretation import Interpretation
+        from repro.obs.metrics import Counter
+
+        rb = parse_program(self.REACH)
+        nodes = [f"n{i}" for i in range(6)]
+        db = Database.from_relations({"edge": list(zip(nodes, nodes[1:]))})
+        prover = LinearStratifiedProver(rb)
+        assert prover.ask(db, "reach(n0, n5)")
+        naive = Counter("naive.firings")
+        close_layer(
+            tuple(rb),
+            Interpretation(db),
+            prover.domain(db),
+            strategy="naive",
+            instruments=LayerInstruments(firings=naive),
+        )
+        firings = prover.metrics.counter("prove.delta_firings").value
+        assert 0 < firings < naive.value
+        # A chain of 6 nodes has 15 reach facts; each is derived once
+        # per body that yields it (one base firing or one step firing).
+        assert firings == 15
+        assert prover.metrics.counter("prove.delta_rounds").value == 6
+
+    def test_non_recursive_layer_fires_each_instance_once(self):
+        rb = hamiltonian_rulebase()
+        db = graph_db(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        prover = LinearStratifiedProver(rb)
+        assert prover.ask(db, "yes")
+        # select(Y) :- node(Y), ~pnode(Y) has one instance per node not
+        # yet on the path, in every database whose Delta_1 was built.
+        per_model = [
+            len(seen.relation("node") - seen.relation("pnode"))
+            for _, seen in prover._delta_cache
+        ]
+        firings = prover.metrics.counter("prove.delta_firings").value
+        assert firings == sum(per_model) > 0
+        # One full round per model, plus one empty delta round after
+        # each model that derived something.
+        assert prover.metrics.counter("prove.delta_rounds").value == len(
+            per_model
+        ) + sum(1 for count in per_model if count)
 
 
 class TestSearchMechanics:
