@@ -93,6 +93,7 @@ from ..testing import failpoints as _failpoints
 from .body import cost_aware_positive_order, join_mode
 from .budget import NULL_BUDGET, cancelled_error, depth_error
 from .delta import LayerInstruments, close_layer
+from .domain import DomainMemo
 from .dred import (
     DredInstruments,
     DredSource,
@@ -347,6 +348,7 @@ class PerfectModelEngine:
             if domain_constants is not None
             else frozenset(rulebase.constants())
         )
+        self._domains = DomainMemo(self._rule_constants)
         self._cache: dict[Database, frozenset[Atom]] = {}
         # Compiled-path memo of recursion-case hypothetical decisions:
         # (premise identity, database) -> (premise, {grounding-ids ->
@@ -450,9 +452,10 @@ class PerfectModelEngine:
     # ------------------------------------------------------------------
 
     def domain(self, db: Database) -> list[Constant]:
-        """``dom(R, DB)``: all constants of the rulebase and database."""
-        constants = set(self._rule_constants) | set(db.constants())
-        return sorted(constants, key=lambda c: (str(type(c.value)), str(c.value)))
+        """``dom(R, DB)``: all constants of the rulebase and database.
+
+        Callers share the list and must not mutate it."""
+        return self._domains.lookup(db)[0]
 
     def model(self, db: Database, *, budget=None) -> frozenset[Atom]:
         """All ground atoms derivable from ``db`` (Definition 3 + NAF).
@@ -881,7 +884,7 @@ class PerfectModelEngine:
         constants = set(goal.constants())
         if constants <= self._rule_constants:
             return True
-        return constants <= self._rule_constants | set(db.constants())
+        return constants <= self._domains.lookup(db)[1]
 
     def _absorb_delegate(self, entry: _DemandEntry) -> None:
         """Fold a delegate call's side effects back into this engine:

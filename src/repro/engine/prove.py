@@ -58,6 +58,7 @@ from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
 from .body import join_mode, nonlocal_variables, satisfy_body
 from .budget import NULL_BUDGET, cancelled_error, depth_error
 from .delta import LayerInstruments, close_layer
+from .domain import DomainMemo
 from .interpretation import Interpretation
 
 __all__ = ["LinearStratifiedProver", "ProverStats"]
@@ -120,7 +121,7 @@ class LinearStratifiedProver:
             )
         self._rulebase = rulebase
         self._strat = stratification or linear_stratification(rulebase)
-        self._rule_constants = frozenset(rulebase.constants())
+        self._domains = DomainMemo(rulebase.constants())
         self._memoize = memoize
         self._join_mode = join_mode(optimize_joins)
         # Delta segments, split into their internal negation layers.
@@ -177,9 +178,8 @@ class LinearStratifiedProver:
     # ------------------------------------------------------------------
 
     def domain(self, db: Database) -> list[Constant]:
-        """``dom(R, DB)``."""
-        constants = set(self._rule_constants) | set(db.constants())
-        return sorted(constants, key=lambda c: (str(type(c.value)), str(c.value)))
+        """``dom(R, DB)``; callers share the list and must not mutate it."""
+        return self._domains.lookup(db)[0]
 
     def ask(self, db: Database, query: Query, *, budget=None) -> bool:
         """Decide a query (atom, premise, or premise text).
@@ -200,10 +200,16 @@ class LinearStratifiedProver:
     ) -> set[tuple]:
         """All payload tuples making the pattern provable.
 
+        The pattern is matched like a rule premise (:meth:`_match_atom`):
+        stored facts, then the materialized model of a Delta predicate,
+        or goal-directed search over the domain for a Sigma predicate.
+        So a pattern over a Delta predicate costs one model lookup plus
+        its matches, not one decision per grounding over the domain.
+
         On budget exhaustion the raised
         :class:`~repro.core.errors.ResourceExhausted` carries the
-        tuples fully decided before the trip (a subset of the
-        unbudgeted answer set)."""
+        tuples found before the trip (a subset of the unbudgeted
+        answer set)."""
         if isinstance(pattern, str):
             premise = parse_premise(pattern)
             if not isinstance(premise, Positive):
@@ -213,9 +219,8 @@ class LinearStratifiedProver:
         variables = list(dict.fromkeys(pattern.variables()))
         results: set[tuple] = set()
         with self._governed(budget, partial_answers=results):
-            for binding in ground_instances(variables, domain):
-                if self._decide(Positive(pattern.substitute(binding)), db):
-                    results.add(tuple(binding[var].value for var in variables))  # type: ignore[union-attr]
+            for binding in self._match_atom(pattern, {}, db, domain):
+                results.add(tuple(binding[var].value for var in variables))  # type: ignore[union-attr]
         return results
 
     def clear_caches(self) -> None:
@@ -305,8 +310,12 @@ class LinearStratifiedProver:
         return plan
 
     def _exists(self, premise: Premise, db: Database, domain) -> bool:
-        budget = self._budget
         unbound = list(dict.fromkeys(premise.variables()))
+        if unbound and isinstance(premise, Positive):
+            for _ in self._match_atom(premise.atom, {}, db, domain):
+                return True
+            return False
+        budget = self._budget
         for binding in ground_instances(unbound, domain):
             if budget.enabled:
                 budget.poll("prove.exists")
@@ -355,8 +364,8 @@ class LinearStratifiedProver:
             self._cycle_events += 1
             self._n_cycles_cut.value += 1
             return False
-        domain = self.domain(db)
-        if not set(goal.constants()).issubset(domain):
+        domain, members = self._domains.lookup(db)
+        if not members.issuperset(goal.constants()):
             # Definition 3 grounds rules over dom(R, DB): a goal naming
             # another constant can only hold as a stored fact.
             return False
@@ -450,8 +459,24 @@ class LinearStratifiedProver:
         then derivations: predicates defined in a Delta segment are
         matched against that segment's materialized perfect model;
         predicates defined in a Sigma segment are grounded over the
-        domain and searched goal-directedly.
+        domain and searched goal-directedly.  An EDB pattern is just
+        the stored facts, whose matches are already distinct.
         """
+        segment = self._strat.segment_of(pattern.predicate)
+        if segment == 0:
+            return db.matches(pattern, binding)
+        return self._derived_matches(segment, pattern, binding, db, domain)
+
+    def _derived_matches(
+        self,
+        segment: int,
+        pattern: Atom,
+        binding: Substitution,
+        db: Database,
+        domain: Sequence[Constant],
+    ) -> Iterator[Substitution]:
+        """:meth:`_match_atom` for a predicate defined in ``segment``,
+        with the stored and derived matches deduplicated."""
         seen: set[tuple] = set()
         pattern_variables = list(dict.fromkeys(pattern.variables()))
 
@@ -464,9 +489,6 @@ class LinearStratifiedProver:
         for extended in db.matches(pattern, binding):
             yield from emit(extended)
 
-        segment = self._strat.segment_of(pattern.predicate)
-        if segment == 0:
-            return
         stratum = (segment + 1) // 2
         if segment % 2 == 1:
             model = self._delta_model(stratum, db)

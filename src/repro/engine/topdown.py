@@ -53,6 +53,7 @@ from .body import (
     ordered_premises,
 )
 from .budget import NULL_BUDGET, cancelled_error, depth_error
+from .domain import DomainMemo
 
 __all__ = ["TopDownEngine", "TopDownStats"]
 
@@ -89,7 +90,7 @@ class TopDownEngine:
 
         negation_strata(rulebase)  # raises if negation is recursive
         self._rulebase = rulebase
-        self._rule_constants = frozenset(rulebase.constants())
+        self._domains = DomainMemo(rulebase.constants())
         self._memoize = memoize
         self._join_mode = join_mode(optimize_joins)
         self._true: set[tuple[Atom, Database]] = set()
@@ -119,10 +120,12 @@ class TopDownEngine:
     # ------------------------------------------------------------------
 
     def domain(self, db: Database) -> list[Constant]:
-        """``dom(R, DB)``."""
-        constants = set(self._rule_constants) | set(db.constants())
-        self._domain_set = frozenset(constants)
-        return sorted(constants, key=lambda c: (str(type(c.value)), str(c.value)))
+        """``dom(R, DB)``; callers share the list and must not mutate it.
+
+        Also arms the out-of-domain guard of :meth:`_decide` for ``db``.
+        """
+        domain, self._domain_set = self._domains.lookup(db)
+        return domain
 
     def ask(self, db: Database, query: Query, *, budget=None) -> bool:
         """Decide a query (variables existential; ``~A`` is not-exists).

@@ -71,6 +71,23 @@ class TestDefinition3:
         engine = engine_class(rules)
         assert engine.ask(Database(), "target")
 
+    def test_domain_follows_each_database(self, engine_class):
+        # dom(R, DB) is remembered per database object; every new
+        # database, even one the size of an earlier one, gets its own.
+        engine = engine_class(parse_program("p(X) :- q(X, c)."))
+        db = Database([atom("q", "b", 2)])
+        assert [str(c) for c in engine.domain(db)] == ["2", "b", "c"]
+        grown = db.with_facts(atom("q", "a", "c"))
+        assert [str(c) for c in engine.domain(grown)] == ["2", "a", "b", "c"]
+        assert engine.answers(grown, "p(X)") == {("a",)}
+        assert [str(c) for c in engine.domain(db)] == ["2", "b", "c"]
+        for size in range(6):
+            fresh = Database([atom("q", f"n{i}", "c") for i in range(size)])
+            assert len(engine.domain(fresh)) == size + 1
+            assert engine.answers(fresh, "p(X)") == {
+                (f"n{i}",) for i in range(size)
+            }
+
     def test_nested_hypotheticals_compose(self, engine_class):
         # a needs b and c: two nested additions reach DB + {b, c}.
         rules = parse_program(

@@ -242,3 +242,128 @@ class TestSearchMechanics:
             prover.ask(Database(), "a1")
             counts.append(prover.stats.sigma_goals)
         assert counts[2] - counts[1] <= 3 * (counts[1] - counts[0]) + 8
+
+
+class TestPatternEnumeration:
+    """``answers`` and free-variable ``ask`` enumerate matches.
+
+    A pattern is matched like a rule premise (stored facts, the Delta
+    model, Sigma search) instead of deciding one grounding over
+    dom(R, DB) at a time; the answers must not change.
+    """
+
+    RULES = """
+        reach(X, Y) :- edge(X, Y).
+        reach(X, Y) :- edge(X, Z), reach(Z, Y).
+        closes(X, Y) :- reach(X, X)[add: edge(Y, X)].
+        stuck(X) :- node(X), ~reach(X, Y).
+        on :- node(X).
+    """
+
+    @staticmethod
+    def _db():
+        chain = [f"n{i}" for i in range(6)]
+        edges = list(zip(chain, chain[1:])) + [("m0", "m1"), ("m1", "m0")]
+        return Database.from_relations(
+            {"edge": edges, "node": chain + ["m0", "m1", "iso"]}
+        )
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            "reach(X, Y)",
+            "reach(X, X)",
+            "reach(n0, Y)",
+            "reach(X, n5)",
+            "reach(zzz, Y)",
+            "reach(n0, n5)",
+            "reach(n5, n0)",
+            "closes(X, Y)",
+            "closes(n3, Y)",
+            "closes(X, X)",
+            "stuck(X)",
+            "edge(X, Y)",
+            "edge(X, X)",
+            "node(X)",
+            "on",
+            "off",
+            "unknown(X)",
+        ],
+    )
+    def test_answers_match_topdown(self, pattern):
+        from repro.engine.topdown import TopDownEngine
+
+        rb = parse_program(self.RULES)
+        db = self._db()
+        expected = TopDownEngine(rb).answers(db, pattern)
+        assert LinearStratifiedProver(rb).answers(db, pattern) == expected
+
+    def test_answers_shapes(self):
+        prover = LinearStratifiedProver(parse_program(self.RULES))
+        db = self._db()
+        assert prover.answers(db, "reach(X, X)") == {("m0",), ("m1",)}
+        assert prover.answers(db, "reach(zzz, Y)") == set()
+        assert prover.answers(db, "on") == {()}
+        assert prover.answers(db, "off") == set()
+        assert prover.answers(db, "closes(n3, Y)") == {
+            ("n3",), ("n4",), ("n5",)
+        }
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "reach(n0, Y)",
+            "reach(n5, Y)",
+            "reach(zzz, Y)",
+            "reach(X, X)",
+            "~reach(n5, Y)",
+            "closes(n3, Y)",
+            "closes(iso, Y)",
+            "stuck(X)",
+            "edge(n5, Y)",
+            "reach(n5, Y)[add: edge(n5, Z)]",
+        ],
+    )
+    def test_ask_with_free_variables_matches_topdown(self, query):
+        from repro.engine.topdown import TopDownEngine
+
+        rb = parse_program(self.RULES)
+        db = self._db()
+        expected = TopDownEngine(rb).ask(db, query)
+        assert LinearStratifiedProver(rb).ask(db, query) is expected
+
+    def test_delta_pattern_is_one_model_lookup(self):
+        rb = parse_program(TestDeltaClosure.REACH)
+        nodes = [f"n{i}" for i in range(6)]
+        db = Database.from_relations({"edge": list(zip(nodes, nodes[1:]))})
+        prover = LinearStratifiedProver(rb)
+        assert len(prover.answers(db, "reach(X, Y)")) == 15
+        lookups = (
+            prover.metrics.counter("prove.delta_models").value
+            + prover.metrics.counter("prove.delta_cache_hits").value
+        )
+        # Grounding X and Y over the 6 constants looked up 36 times.
+        assert lookups == 1
+
+    def test_exhausted_answers_carry_a_subset(self):
+        from repro.core.errors import ResourceExhausted
+        from repro.engine.budget import Budget
+
+        rb = parse_program(self.RULES)
+        db = self._db()
+        full = LinearStratifiedProver(rb).answers(db, "closes(X, Y)")
+        partials = []
+        for steps in range(1, 40):
+            prover = LinearStratifiedProver(rb)
+            try:
+                found = prover.answers(
+                    db, "closes(X, Y)", budget=Budget(max_steps=steps)
+                )
+            except ResourceExhausted as error:
+                assert error.partial.answers is not None
+                assert error.partial.answers <= full
+                partials.append(error.partial.answers)
+            else:
+                assert found == full
+        assert partials
+        assert any(0 < len(partial) < len(full) for partial in partials)
